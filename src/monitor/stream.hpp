@@ -2,14 +2,22 @@
 // a whole device fleet and checks batched event streams against one
 // compiled class table (fsm/table.hpp) at millions of events per second.
 //
+// Interning: device names map to dense ids through a flat open-addressing
+// table of 64-bit entries (a 32-bit hash tag beside the id), kept at most
+// half full.  An SMEV frame is decoded and validated whole first, its names
+// as views into the body; then all of them are hashed, the table grows once
+// for the frame, and the probes run with software prefetch.  A rejected
+// frame therefore interns nothing.
+//
 // Sharding: every device id is assigned to one shard (hash of its name) at
 // first sight, so all of a device's events are checked by the same worker
 // in stream order and shards never share mutable state.  A batch is decoded
 // on the calling thread (interning devices and operations into dense ids),
 // then the per-shard event lists are swept in parallel on the shared
-// ThreadPool.  Results are deterministic in the shard count: verdict
-// counters are additive and violation reports are merged in global event
-// order.
+// ThreadPool.  With one shard and no ingest_event() events pending, an SMEV
+// frame is checked in place, straight from its event records.  Results are
+// deterministic in the shard count: verdict counters are additive and
+// violation reports are merged in global event order.
 //
 // Two wire formats:
 //   * NDJSON  -- one {"device": "...", "op": "..."} object per line;
@@ -115,10 +123,9 @@ class StreamChecker {
 
  private:
   struct DeviceState {
+    std::uint64_t events = 0;
     std::uint32_t state = 0;
     bool violated = false;
-    std::uint64_t events = 0;
-    std::uint32_t shard = 0;
   };
 
   /// One decoded event, routed to its device's shard.  `op` indexes
@@ -141,18 +148,36 @@ class StreamChecker {
     std::vector<Violation> reports;
   };
 
+  /// Grows the intern table so that `extra` more names keep it at most
+  /// half full.
+  void reserve_devices(std::size_t extra);
+  /// The id of `name`, whose std::hash is `hash`; interns it when new.
+  /// The table must have room (reserve_devices).
+  std::uint32_t intern_hashed(std::string_view name, std::size_t hash);
   std::uint32_t intern_device(std::string_view name);
+  /// Interns frame_names_ into frame_devices_, batched and prefetched.
+  void intern_frame_devices();
   std::uint32_t intern_batch_op(std::string_view name);
   void route(std::uint32_t device, std::uint32_t op);
+  void check_frame_in_place(std::string_view cells);
   void check_batch();
   void check_shard(std::size_t shard, ShardResult& result);
+  /// The per-event body both check paths share: latching, report capping
+  /// and the report's contents.
+  void check_event(std::uint32_t device, std::uint32_t op,
+                   std::uint64_t index, ShardResult& result);
+  /// Folds one batch's shard results into stats_ and violations_.
+  void merge(std::vector<ShardResult>& results, std::uint64_t events);
 
   fsm::CompiledDfa table_;
   Options options_;
 
-  std::unordered_map<std::string, std::uint32_t> device_index_;
+  // Intern table: power-of-two sized; an entry is (tag << 32) | (id + 1),
+  // 0 when empty.  Ids index device_names_, devices_ and device_shards_.
+  std::vector<std::uint64_t> device_table_;
   std::vector<std::string> device_names_;
   std::vector<DeviceState> devices_;
+  std::vector<std::uint32_t> device_shards_;
 
   std::unordered_map<std::string, SourceLoc> locations_;
 
@@ -161,6 +186,15 @@ class StreamChecker {
   std::unordered_map<std::string, std::uint32_t> batch_op_index_;
   std::vector<std::vector<PendingEvent>> shards_;
   std::size_t batch_events_ = 0;
+
+  // Per-frame scratch of ingest_binary (capacity kept): the device and op
+  // names as views into the body, the device names' hashes, and the ids
+  // both name tables resolve to.
+  std::vector<std::string_view> frame_names_;
+  std::vector<std::string_view> frame_op_names_;
+  std::vector<std::size_t> frame_hashes_;
+  std::vector<std::uint32_t> frame_devices_;
+  std::vector<std::uint32_t> frame_ops_;
 
   std::vector<Violation> violations_;
   StreamStats stats_;

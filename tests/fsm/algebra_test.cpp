@@ -15,6 +15,13 @@ struct LanguagePair {
   const char* rhs;
 };
 
+// Without a printer gtest shows the two pointers as raw bytes, so the
+// test names that ctest discovers would change with every run's load
+// address. Print the regexes instead.
+void PrintTo(const LanguagePair& pair, std::ostream* os) {
+  *os << pair.lhs << " vs " << pair.rhs;
+}
+
 class AlgebraTest : public ::testing::TestWithParam<LanguagePair> {
  protected:
   void SetUp() override {

@@ -184,17 +184,32 @@ TEST_F(StreamTest, BadMagicThrows) {
 
 TEST_F(StreamTest, OutOfRangeRecordChecksNothing) {
   // An event referencing a device index past the frame's table must reject
-  // the whole frame atomically: no event of the frame is checked.
-  std::string frame = encode_binary_frame(
-      {"v1"}, {"test"}, {{0, 0}, {1, 0}});
+  // the whole frame atomically: no event of the frame is checked, and no
+  // name the frame introduces becomes a device.
   StreamChecker checker = make_checker();
+  checker.ingest_ndjson(line("v0", "test") + line("v0", "open") +
+                        line("v0", "close"));
+  const StreamStats before = checker.stats();
+  const std::uint64_t completed = checker.completed_devices();
+  const std::uint64_t incomplete = checker.incomplete_devices();
+  ASSERT_EQ(before.devices, 1u);
+  ASSERT_EQ(completed, 1u);
+
+  std::string frame = encode_binary_frame(
+      {"v1", "phantom"}, {"test"}, {{0, 0}, {1, 0}, {2, 0}});
   EXPECT_THROW(checker.ingest_binary(frame.substr(12)),
                support::BinaryFormatError);
-  EXPECT_EQ(checker.stats().events, 0u);
-  EXPECT_EQ(checker.stats().ok, 0u);
-  // The checker remains usable after the reject.
+  EXPECT_EQ(checker.stats().events, before.events);
+  EXPECT_EQ(checker.stats().ok, before.ok);
+  EXPECT_EQ(checker.stats().devices, before.devices);
+  EXPECT_EQ(checker.completed_devices(), completed);
+  EXPECT_EQ(checker.incomplete_devices(), incomplete);
+  // A later batch must not surface the rejected frame's names either.
   checker.ingest_ndjson(line("v1", "test"));
-  EXPECT_EQ(checker.stats().events, 1u);
+  EXPECT_EQ(checker.stats().events, before.events + 1);
+  EXPECT_EQ(checker.stats().devices, 2u);  // v0 and v1, never "phantom"
+  EXPECT_EQ(checker.completed_devices(), completed);
+  EXPECT_EQ(checker.incomplete_devices(), incomplete + 1);
 }
 
 TEST_F(StreamTest, TruncatedBodyThrows) {

@@ -204,7 +204,14 @@ bool run_one(const std::string& extension, const std::string& input) {
       } catch (const support::BinaryFormatError&) {
         // Structured rejection is the contract.
       }
-      (void)checker.stats();
+      // A rejected frame interns nothing either: the fleet counts still
+      // cover exactly the devices of the accepted frames.
+      if (checker.completed_devices() + checker.violated_devices() +
+              checker.incomplete_devices() !=
+          checker.stats().devices) {
+        std::cerr << "fuzz_frontend: rejected SMEV frame left devices\n";
+        return false;
+      }
     } else if (extension == ".shc") {
       // The cache loader's adversarial surface: mutated entries must decode
       // to nullopt (a structured miss) or a valid value -- never crash.
